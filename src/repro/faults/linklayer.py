@@ -544,7 +544,7 @@ class FaultLayer:
         the retired channel.
         """
         ni = self.network.interfaces[self._reentry_core(link, packet)]
-        ni.requeue_flits(packet.make_flits())
+        ni.requeue_packet(packet)
         self.sim.stats.packets_recovered += 1
         self.sim.stats.flits_retransmitted += packet.size_flits
         link.fault.recovered += 1

@@ -70,7 +70,7 @@ def check_flit_conservation(sim: "Simulator") -> None:
     ejected = sim.stats.flits_ejected
     # Ejected flits are gone; infer them: available - (everything still here).
     buffered = net.total_occupancy()
-    queued = sum(len(ni.queue) for ni in net.interfaces if ni is not None)
+    queued = sum(ni.backlog for ni in net.interfaces if ni is not None)
     in_flight = sum(
         1
         for events in sim._events.values()
@@ -270,7 +270,7 @@ def audit_network(sim: "Simulator") -> Dict[str, int]:
     return {
         "cycle": sim.now,
         "buffered_flits": net.total_occupancy(),
-        "ni_queued": sum(len(ni.queue) for ni in net.interfaces if ni is not None),
+        "ni_queued": sum(ni.backlog for ni in net.interfaces if ni is not None),
         "in_flight": sum(
             1 for evs in sim._events.values() for ev in evs if ev[0] == "flit"
         ),

@@ -27,7 +27,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.noc.links import Endpoint, Link, SharedMedium, ELECTRICAL
-from repro.noc.packet import Flit, Packet
+from repro.noc.packet import Packet
 from repro.noc.router import Router, RoutingFunction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,27 +37,35 @@ if TYPE_CHECKING:  # pragma: no cover
 class NetworkInterface:
     """Per-core injection queue (open-loop source).
 
-    The NI holds an unbounded queue of flits awaiting buffer space at the
-    local router input port and performs the upstream half of VC allocation
-    for injected packets (grab a free VC for each head flit, follow with the
-    body, release on tail) exactly like a link writer would.
+    The NI holds an unbounded queue of packets awaiting buffer space at the
+    local router input port and segments the head packet as it injects it:
+    each successful :meth:`pump` builds the next flit only then, so queued
+    packets cost no flit objects. It performs the upstream half of VC
+    allocation for injected packets (grab a free VC for each head flit,
+    follow with the body, release on tail) exactly like a link writer would.
+    ``backlog`` counts the flits not yet injected.
     """
 
     __slots__ = (
         "core",
         "endpoint",
         "queue",
+        "backlog",
         "current_vc",
         "flits_injected",
         "packets_queued",
         "parked",
+        "_seq",
         "_wake",
     )
 
     def __init__(self, core: int, endpoint: Endpoint) -> None:
         self.core = core
         self.endpoint = endpoint
-        self.queue: Deque[Flit] = deque()
+        self.queue: Deque[Packet] = deque()
+        #: Flits queued but not yet injected (head packet's remainder
+        #: included); maintained on every enqueue and pump.
+        self.backlog = 0
         self.current_vc: Optional[int] = None
         self.flits_injected = 0
         self.packets_queued = 0
@@ -66,27 +74,28 @@ class NetworkInterface:
         #: on the endpoint re-arms it (failed pumps have no side effects, so
         #: skipping them is invisible to the simulation result).
         self.parked = False
+        #: Sequence number of the head packet's next flit to inject.
+        self._seq = 0
         # Scheduler callback: invoked with ``self`` on the empty->backlogged
         # transition so the simulator re-registers this NI in its active set.
         self._wake: Optional[Callable[["NetworkInterface"], None]] = None
         endpoint.ni = self
 
     def enqueue_packet(self, packet: Packet) -> None:
-        if not self.queue and self._wake is not None:
-            self._wake(self)
-        self.queue.extend(packet.make_flits())
+        self.requeue_packet(packet)
         self.packets_queued += 1
 
-    def requeue_flits(self, flits: Sequence[Flit]) -> None:
-        """Re-enter recovered flits (link-layer retransmission fallback).
+    def requeue_packet(self, packet: Packet) -> None:
+        """Queue ``packet`` without counting it as newly queued.
 
-        Same as :meth:`enqueue_packet` for scheduler purposes but without
-        counting a new queued packet -- the packet was already accounted at
-        first injection.
+        The link layer's retransmission fallback re-enters recovered
+        packets here: they were counted at first injection. The packet
+        queues behind any partly injected one.
         """
         if not self.queue and self._wake is not None:
             self._wake(self)
-        self.queue.extend(flits)
+        self.queue.append(packet)
+        self.backlog += packet.size_flits
 
     def pump(self, now: int) -> int:
         """Move up to one flit per cycle into the router; return flits moved."""
@@ -95,16 +104,20 @@ class NetworkInterface:
             return 0
         endpoint = self.endpoint
         credits = endpoint.credits
-        flit = queue[0]
+        packet = queue[0]
+        seq = self._seq
         vc = self.current_vc
         if vc is None:
-            if not flit.is_head:
-                return 0
+            if seq:
+                raise RuntimeError(
+                    f"NI of core {self.core} holds no VC with packet "
+                    f"{packet.pid} injected up to flit {seq}"
+                )
             # Claim a free input VC with room for the whole packet (virtual
             # cut-through admission, mirroring router-side VC allocation;
             # Endpoint.can_accept_packet inlined, its can-never-fit guard
             # hoisted out of the per-VC scan).
-            size = flit.packet.size_flits
+            size = packet.size_flits
             if size > endpoint.vc_depth:
                 raise ValueError(
                     f"packet of {size} flits can never fit VC depth "
@@ -120,24 +133,24 @@ class NetworkInterface:
                     break
             else:
                 return 0
+            packet.t_inject = now
         elif credits[vc] <= 0:
             return 0
-        queue.popleft()
+        flit = packet.flit(seq)
         credits[vc] -= 1  # Endpoint.take_credit, inlined (credit > 0 above)
         if endpoint._k is not None:
             endpoint._k.credits[endpoint.kslot + vc] = credits[vc]
         endpoint.router.deliver_flit(endpoint.in_port, vc, flit)
         self.flits_injected += 1
-        if flit.is_head:
-            flit.packet.t_inject = now
+        self.backlog -= 1
         if flit.is_tail:
+            queue.popleft()
+            self._seq = 0
             endpoint.release_vc(vc)
             self.current_vc = None
+        else:
+            self._seq = seq + 1
         return 1
-
-    @property
-    def backlog(self) -> int:
-        return len(self.queue)
 
 
 class Network:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 
 class FlitKind(enum.IntEnum):
@@ -173,19 +173,21 @@ class Packet:
             raise RuntimeError(f"packet {self.pid} not ejected yet")
         return self.t_eject - self.t_create
 
+    def flit(self, seq: int) -> "Flit":
+        """Build flit ``seq`` of the packet -- the one place the flit-kind
+        rule lives (first is the head, last the tail, one flit is both)."""
+        last = self.size_flits - 1
+        if seq == 0:
+            kind = FlitKind.HEAD_TAIL if last == 0 else FlitKind.HEAD
+        elif seq == last:
+            kind = FlitKind.TAIL
+        else:
+            kind = FlitKind.BODY
+        return Flit(self, kind, seq)
+
     def make_flits(self) -> List["Flit"]:
         """Segment the packet into its flit sequence."""
-        n = self.size_flits
-        if n == 1:
-            return [Flit(self, FlitKind.HEAD_TAIL, 0)]
-        flits = [Flit(self, FlitKind.HEAD, 0)]
-        flits.extend(Flit(self, FlitKind.BODY, i) for i in range(1, n - 1))
-        flits.append(Flit(self, FlitKind.TAIL, n - 1))
-        return flits
-
-    def iter_flits(self) -> Iterator["Flit"]:
-        """Lazily iterate the flit sequence (used by injection queues)."""
-        return iter(self.make_flits())
+        return [self.flit(seq) for seq in range(self.size_flits)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -663,9 +663,7 @@ class Simulator:
 
     def _backlog(self) -> int:
         """Flits queued at NIs but not yet injected into the network."""
-        return sum(
-            len(ni.queue) for ni in self.network.interfaces if ni is not None
-        )
+        return sum(ni.backlog for ni in self.network.interfaces if ni is not None)
 
     def _pending_work(self) -> bool:
         if self._events:

@@ -38,11 +38,18 @@ class TraceBuilder:
     order while preserving each cycle's emission order -- which therefore
     must itself be deterministic (it is: every generator walks plain data
     structures in index order).
+
+    Rows come in one at a time (:meth:`emit`) or as whole arrays
+    (:meth:`emit_block`); both apply the same drop rules and the rows keep
+    their call order across any mix of the two.
     """
 
     def __init__(self, horizon: int) -> None:
         check_positive("horizon", horizon)
         self.horizon = int(horizon)
+        #: Finished row blocks, each a (cycles, srcs, dsts, sizes) tuple.
+        self._blocks: List[Tuple[np.ndarray, ...]] = []
+        # Scalar rows since the last block, flushed before the next one.
         self._cycles: List[int] = []
         self._srcs: List[int] = []
         self._dsts: List[int] = []
@@ -59,16 +66,40 @@ class TraceBuilder:
         self._dsts.append(int(dst))
         self._sizes.append(int(size))
 
+    def emit_block(
+        self, cycles: np.ndarray, srcs: np.ndarray, dsts: np.ndarray, size: int
+    ) -> None:
+        """Record one packet per array row, in row order, all of ``size``
+        flits; rows are dropped exactly as :meth:`emit` would drop them."""
+        cycles = np.asarray(cycles, dtype=np.int64)
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        keep = (cycles < self.horizon) & (srcs != dsts)
+        n = int(np.count_nonzero(keep))
+        if n == 0:
+            return
+        self._flush_rows()
+        self._blocks.append(
+            (cycles[keep], srcs[keep], dsts[keep], np.full(n, size, dtype=np.int64))
+        )
+
+    def _flush_rows(self) -> None:
+        if self._cycles:
+            self._blocks.append(tuple(
+                np.asarray(rows, dtype=np.int64)
+                for rows in (self._cycles, self._srcs, self._dsts, self._sizes)
+            ))
+            self._cycles, self._srcs, self._dsts, self._sizes = [], [], [], []
+
     def __len__(self) -> int:
-        return len(self._cycles)
+        return sum(len(block[0]) for block in self._blocks) + len(self._cycles)
 
     def build(self) -> TrafficTrace:
-        return TrafficTrace(
-            np.asarray(self._cycles, dtype=np.int64),
-            np.asarray(self._srcs, dtype=np.int64),
-            np.asarray(self._dsts, dtype=np.int64),
-            np.asarray(self._sizes, dtype=np.int64),
-        )
+        self._flush_rows()
+        if not self._blocks:
+            empty = np.zeros(0, dtype=np.int64)
+            return TrafficTrace(empty, empty, empty, empty)
+        return TrafficTrace(*(np.concatenate(col) for col in zip(*self._blocks)))
 
 
 class EventQueue:

@@ -29,6 +29,9 @@ from repro.workloads.base import TraceBuilder, WorkloadModel, spread_over_cores
 
 COLLECTIVE_KINDS = ("allreduce_ring", "allreduce_tree", "stencil3d")
 
+#: One communication step: parallel (src_rank, dst_rank) int arrays.
+Step = Tuple[np.ndarray, np.ndarray]
+
 
 def _grid_dims(p: int) -> Tuple[int, int, int]:
     """Near-cubic factorisation of ``p`` ranks into a 3D process grid."""
@@ -124,61 +127,49 @@ class CollectiveWorkload(WorkloadModel):
             "allreduce_tree": self._tree_steps,
             "stencil3d": self._stencil_steps,
         }[self.kind](p)
-        # steps: list of per-step (src_rank, dst_rank) transfer lists.
+        # Step start cycles only grow and skew is >= 0, so the first step
+        # starting at/after the horizon ends the trace: every later row
+        # would be dropped anyway.
         iter_span = len(steps) * self.step_cycles + self.compute_cycles
         for it in range(self.iterations):
             base = it * iter_span
-            if base >= self.duration:
-                break
-            for k, transfers in enumerate(steps):
+            for k, (src, dst) in enumerate(steps):
                 t = base + k * self.step_cycles
-                for src, dst in transfers:
-                    builder.emit(
-                        t + int(skew[src]), int(cores[src]), int(cores[dst]),
-                        self.message_size,
-                    )
+                if t >= self.duration:
+                    return
+                builder.emit_block(t + skew[src], cores[src], cores[dst], self.message_size)
 
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _ring_steps(p: int) -> List[List[Tuple[int, int]]]:
+    def _ring_steps(p: int) -> List[Step]:
         """Reduce-scatter then all-gather: 2*(P-1) ring-neighbour steps."""
-        one_step = [(r, (r + 1) % p) for r in range(p)]
-        return [list(one_step) for _ in range(2 * (p - 1))]
+        ranks = np.arange(p)
+        return [(ranks, (ranks + 1) % p)] * (2 * (p - 1))
 
     @staticmethod
-    def _tree_steps(p: int) -> List[List[Tuple[int, int]]]:
+    def _tree_steps(p: int) -> List[Step]:
         """Binary-tree reduce to rank 0, then broadcast back down."""
-        levels: List[List[Tuple[int, int]]] = []
+        levels: List[Step] = []
         stride = 1
         while stride < p:
-            level = [
-                (r + stride, r)
-                for r in range(0, p, 2 * stride)
-                if r + stride < p
-            ]
-            levels.append(level)
+            dst = np.arange(0, p - stride, 2 * stride)
+            levels.append((dst + stride, dst))
             stride *= 2
-        reduce_steps = levels
-        bcast_steps = [[(dst, src) for src, dst in level] for level in reversed(levels)]
-        return reduce_steps + bcast_steps
+        return levels + [(dst, src) for src, dst in reversed(levels)]
 
     @staticmethod
-    def _stencil_steps(p: int) -> List[List[Tuple[int, int]]]:
+    def _stencil_steps(p: int) -> List[Step]:
         """One halo-exchange step: every rank to its 6 periodic neighbours."""
         nx, ny, nz = _grid_dims(p)
-
-        def rank(x: int, y: int, z: int) -> int:
-            return (x % nx) + nx * ((y % ny) + ny * (z % nz))
-
-        transfers: List[Tuple[int, int]] = []
-        for z in range(nz):
-            for y in range(ny):
-                for x in range(nx):
-                    r = rank(x, y, z)
-                    for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
-                                       (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-                        nb = rank(x + dx, y + dy, z + dz)
-                        if nb != r:
-                            transfers.append((r, nb))
-        return [transfers]
+        r = np.arange(p)
+        x, y, z = r % nx, (r // nx) % ny, r // (nx * ny)
+        nbs = np.stack([
+            ((x + dx) % nx) + nx * (((y + dy) % ny) + ny * ((z + dz) % nz))
+            for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                               (0, -1, 0), (0, 0, 1), (0, 0, -1))
+        ], axis=1)
+        src = np.repeat(r, 6)
+        dst = nbs.ravel()
+        keep = dst != src
+        return [(src[keep], dst[keep])]

@@ -68,10 +68,6 @@ class TestPacket:
         assert [f.seq for f in flits] == list(range(size))
         assert all(f.packet is p for f in flits)
 
-    def test_iter_flits_matches_make_flits(self):
-        p = Packet(0, 1, 5, 0)
-        assert [f.kind for f in p.iter_flits()] == [f.kind for f in p.make_flits()]
-
     def test_hop_counters_start_zero(self):
         p = Packet(0, 1, 4, 0)
         assert (p.hops, p.wireless_hops, p.photonic_hops, p.electrical_hops) == (0, 0, 0, 0)

@@ -192,3 +192,63 @@ class TestNetworkInterface:
         sim = Simulator(net, traffic=ScriptedTraffic(sched))
         sim.run(100)
         assert sim.stats.packets_ejected == 2
+
+
+def _pump(ni, n, start=0):
+    """Pump ``n`` flits, one per cycle from ``start``, without stepping the
+    router; return them in injection order."""
+    vcs = ni.endpoint.router.input_ports[ni.endpoint.in_port].vcs
+    flits = []
+    for now in range(start, start + n):
+        before = [len(vc.queue) for vc in vcs]
+        assert ni.pump(now) == 1
+        (grown,) = [vc for vc, b in zip(vcs, before) if len(vc.queue) == b + 1]
+        flits.append(grown.queue[-1])
+    return flits
+
+
+class TestNetworkInterfaceSegmentation:
+    @pytest.mark.parametrize("size", [1, 2, 4, 5])
+    def test_pumped_flits_match_make_flits(self, size):
+        ni = two_router_net(vc_depth=5).interfaces[0]
+        packet = Packet(0, 1, size, 0)
+        ni.enqueue_packet(packet)
+        pumped = _pump(ni, size)
+        want = packet.make_flits()
+        assert [(f.kind, f.seq) for f in pumped] == [(f.kind, f.seq) for f in want]
+        assert all(f.packet is packet for f in pumped)
+        assert not ni.queue and ni.current_vc is None
+        assert ni.pump(size) == 0
+
+    def test_backlog_counts_flits(self):
+        ni = two_router_net().interfaces[0]
+        ni.enqueue_packet(Packet(0, 1, 4, 0))
+        assert ni.backlog == 4
+        _pump(ni, 2)
+        assert ni.backlog == 2
+        ni.requeue_packet(Packet(0, 1, 3, 0))
+        assert (ni.backlog, ni.packets_queued) == (5, 1)
+        _pump(ni, 5, start=2)
+        assert ni.backlog == 0
+        assert ni.flits_injected == 7
+
+    def test_recovered_packet_queues_behind_partly_injected_one(self):
+        ni = two_router_net().interfaces[0]
+        first, recovered = Packet(0, 1, 4, 0), Packet(0, 1, 2, 0)
+        ni.enqueue_packet(first)
+        order = _pump(ni, 2)
+        ni.requeue_packet(recovered)
+        order += _pump(ni, 4, start=2)
+        assert [(f.packet, f.seq) for f in order] == [
+            (first, 0), (first, 1), (first, 2), (first, 3),
+            (recovered, 0), (recovered, 1),
+        ]
+        assert first.t_inject == 0 and recovered.t_inject == 4
+
+    def test_mid_packet_without_vc_fails_loudly(self):
+        ni = two_router_net().interfaces[0]
+        ni.enqueue_packet(Packet(0, 1, 4, 0))
+        _pump(ni, 1)
+        ni.current_vc = None  # corrupt: mid-packet but no VC held
+        with pytest.raises(RuntimeError, match="core 0"):
+            ni.pump(1)
